@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -202,6 +203,45 @@ func BenchmarkBatchKNN(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkShardedBatchKNN times the sharded scatter-gather the way the
+// service's batch endpoint runs it: 8000 random walks of length 256 in 1, 4
+// or 8 shards of DBCH-trees, batches of 8 queries at k = 10 on GOMAXPROCS
+// workers. Half the queries are stored series plus noise, half fresh walks.
+// One iteration answers the whole query set, batch by batch. Alongside
+// allocs it reports the per-query work counters, which are exact: filtered
+// entries, refinements and representation-distance kernel evaluations.
+func BenchmarkShardedBatchKNN(b *testing.B) {
+	const batch, k = 8, 10
+	entries := benchEntries(b, 8000, 256, 12)
+	queries := noisyQueries(b, core.New(), rand.New(rand.NewSource(3)), entries, 64, 0.5)
+	for _, shards := range []int{1, 4, 8} {
+		s := newShardedTrees(b, "SAPLA", shards)
+		if err := s.InsertBatch(entries); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			var work SearchStats
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				work = SearchStats{}
+				for lo := 0; lo < len(queries); lo += batch {
+					_, stats, err := BatchKNN(s, queries[lo:lo+batch], k, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, st := range stats {
+						addStats(&work, st)
+					}
+				}
+			}
+			nq := float64(len(queries))
+			b.ReportMetric(float64(work.Filtered)/nq, "filtered/query")
+			b.ReportMetric(float64(work.Measured)/nq, "refined/query")
+			b.ReportMetric(float64(work.DistEvals)/nq, "dist-evals/query")
 		})
 	}
 }

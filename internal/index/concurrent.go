@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -336,7 +337,7 @@ func (c *ConcurrentIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result,
 //sapla:noalloc
 func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, uint64, error) {
 	if c.cow != nil {
-		return c.knnSnapshotLF(ws, q, k)
+		return c.knnSnapshotLF(ws, q, k, math.Inf(1))
 	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -357,14 +358,27 @@ func (c *ConcurrentIndex) KNNSnapshot(ws *Workspace, q dist.Query, k int) ([]Res
 // correct regardless of further publishes — which keeps the read wait-free.
 //
 //sapla:noalloc
-func (c *ConcurrentIndex) knnSnapshotLF(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, uint64, error) {
-	res, stats, epoch, ok, err := c.tryKNNLF(ws, q, k)
+func (c *ConcurrentIndex) knnSnapshotLF(ws *Workspace, q dist.Query, k int, bound float64) ([]Result, SearchStats, uint64, error) {
+	res, stats, epoch, ok, err := c.tryKNNLF(ws, q, k, bound)
 	if ok {
 		return res, stats, epoch, err
 	}
 	c.readRetries.Add(1)
-	res, stats, epoch, _, err = c.tryKNNLF(ws, q, k)
+	res, stats, epoch, _, err = c.tryKNNLF(ws, q, k, bound)
 	return res, stats, epoch, err
+}
+
+// knnBounded is KNNWith seeded with an upper bound on the k-th distance the
+// caller needs (see DBCH.knnBounded). Only the lock-free DBCH path prunes
+// with it; other trees search unseeded, which returns a superset.
+//
+//sapla:noalloc
+func (c *ConcurrentIndex) knnBounded(ws *Workspace, q dist.Query, k int, bound float64) ([]Result, SearchStats, error) {
+	if c.cow == nil {
+		return c.KNNWith(ws, q, k)
+	}
+	res, stats, _, err := c.knnSnapshotLF(ws, q, k, bound)
+	return res, stats, err
 }
 
 // tryKNNLF runs one lock-free k-NN attempt: load the epoch, pin it, load
@@ -374,14 +388,14 @@ func (c *ConcurrentIndex) knnSnapshotLF(ws *Workspace, q dist.Query, k int) ([]R
 // free a slot the view can still reach.
 //
 //sapla:noalloc
-func (c *ConcurrentIndex) tryKNNLF(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, uint64, bool, error) {
+func (c *ConcurrentIndex) tryKNNLF(ws *Workspace, q dist.Query, k int, bound float64) ([]Result, SearchStats, uint64, bool, error) {
 	pin := c.epoch.Load()
 	slot := c.pins.acquire(pin)
 	v := c.view.Load()
 	if h := c.hooks.Load(); h != nil && h.ReaderStall != nil {
 		h.ReaderStall()
 	}
-	res, stats, err := v.tree.KNNWith(ws, q, k)
+	res, stats, err := v.tree.knnBounded(ws, q, k, bound)
 	c.pins.release(slot)
 	cur := c.epoch.Load()
 	return res, stats, v.epoch, cur == pin, err

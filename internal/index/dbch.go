@@ -547,15 +547,55 @@ func (t *DBCH) refreshInternalHull(nd int32) bool {
 	return t.ar.volume[nd] != oldVol || t.ar.coverU[nd] != oldCU || t.ar.coverL[nd] != oldCL //sapla:floateq exact before/after comparison: propagation stops only when the recomputed values are bit-identical
 }
 
+// dQMemo is dQ through the workspace's per-search memo: an entry that is a
+// hull end at several levels is evaluated once per search. Evaluations that
+// miss the memo are counted in stats.DistEvals.
+//
+//sapla:noalloc
+func (t *DBCH) dQMemo(ws *Workspace, q dist.Query, eid int32, stats *SearchStats) float64 {
+	if ws.memoGen[eid] == ws.gen {
+		return ws.memoVal[eid]
+	}
+	stats.DistEvals++
+	d := t.dQ(q, eid)
+	ws.memoGen[eid], ws.memoVal[eid] = ws.gen, d
+	return d
+}
+
+// filterMemo is filterEntry for entry id eid, answered from the memo when a
+// node bound already evaluated it. Only finite memo values are reused: an
+// infinite one may stand for an error, which filterEntry must report.
+//
+//sapla:noalloc
+func (t *DBCH) filterMemo(ws *Workspace, q dist.Query, eid int32, stats *SearchStats) (float64, error) {
+	if ws.memoGen[eid] == ws.gen && !math.IsInf(ws.memoVal[eid], 1) {
+		return ws.memoVal[eid], nil
+	}
+	stats.DistEvals++
+	return t.filterEntry(q, t.ents[eid])
+}
+
 // boundID is Section 5.3's query-to-node distance: 0 when the query lies
 // within the hull's volume of both ends; otherwise the smaller of the two
 // hull distances (paper rule) or the triangle-safe bound (SafeBound).
 //
+// limit is the caller's pruning threshold (nodes bounded strictly above it
+// are dropped). Under SafeBound, once dᵤ − coverU alone exceeds limit (and
+// dᵤ is outside the volume, so the bound is not 0) the node is pruned
+// whatever dₗ is, so the second hull distance is skipped; the pruning
+// decision is the same as with both distances.
+//
 //sapla:noalloc
-func (t *DBCH) boundID(q dist.Query, nd int32) float64 {
-	du := t.dQ(q, t.ar.hullU[nd])
-	dl := t.dQ(q, t.ar.hullL[nd])
-	if du <= t.ar.volume[nd] && dl <= t.ar.volume[nd] {
+func (t *DBCH) boundID(ws *Workspace, q dist.Query, nd int32, limit float64, stats *SearchStats) float64 {
+	vol := t.ar.volume[nd]
+	du := t.dQMemo(ws, q, t.ar.hullU[nd], stats)
+	if t.SafeBound && du > vol {
+		if b := du - t.ar.coverU[nd]; b > limit {
+			return b
+		}
+	}
+	dl := t.dQMemo(ws, q, t.ar.hullL[nd], stats)
+	if du <= vol && dl <= vol {
 		return 0
 	}
 	if t.SafeBound {
@@ -566,6 +606,25 @@ func (t *DBCH) boundID(q dist.Query, nd int32) float64 {
 		return b
 	}
 	return math.Min(du, dl)
+}
+
+// refine is the exact Euclidean distance from q to e for an entry that
+// passed the filter, abandoned early once the partial sum proves e strictly
+// farther than bound; ok is false exactly when the distance exceeds bound.
+// A distance that is returned is bit-identical to the unabandoned one.
+//
+//sapla:noalloc
+func refine(q dist.Query, e *Entry, bound float64) (float64, bool) {
+	sum, done := ts.EuclideanSqWithin(q.Raw, e.Raw, bound*bound)
+	if !done {
+		if math.Sqrt(sum) > bound {
+			return 0, false
+		}
+		// The partial sum passed bound² only by its rounding: finish it.
+		sum = ts.EuclideanSq(q.Raw, e.Raw)
+	}
+	d := math.Sqrt(sum)
+	return d, d <= bound
 }
 
 // KNN implements Index.
@@ -580,16 +639,28 @@ func (t *DBCH) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 //
 //sapla:noalloc
 func (t *DBCH) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
+	return t.knnBounded(ws, q, k, math.Inf(1))
+}
+
+// knnBounded is KNNWith seeded with an upper bound on the k-th distance the
+// caller needs: nodes, filter distances and exact distances strictly above
+// min(bound, local k-th) are pruned, so (distance, ID) ties at the bound
+// survive. It returns at most k results, omitting those farther than bound.
+// With bound = +Inf it is the unseeded search.
+//
+//sapla:noalloc
+func (t *DBCH) knnBounded(ws *Workspace, q dist.Query, k int, bound float64) ([]Result, SearchStats, error) {
 	var stats SearchStats
 	if t.root == nilNode || k <= 0 {
 		return nil, stats, nil
 	}
+	ws.resetMemo(len(t.ents))
 	nodes := ws.ids
 	nodes.Reset()
 	nodes.Push(0, t.root)
 	best := ws.best // k current best, worst on top
 	best.Reset()
-	kth := math.Inf(1)
+	kth := bound
 
 	for nodes.Len() > 0 {
 		prio, nd := nodes.Pop()
@@ -599,16 +670,15 @@ func (t *DBCH) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 		stats.NodesVisited++
 		if !t.ar.isLeaf[nd] {
 			for _, c := range t.ar.slotsOf(nd) {
-				if b := t.boundID(q, c); b <= kth {
+				if b := t.boundID(ws, q, c, kth, &stats); b <= kth {
 					nodes.Push(b, c)
 				}
 			}
 			continue
 		}
 		for _, eid := range t.ar.slotsOf(nd) {
-			e := t.ents[eid]
 			stats.Filtered++
-			fd, err := t.filterEntry(q, e)
+			fd, err := t.filterMemo(ws, q, eid, &stats)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -616,8 +686,12 @@ func (t *DBCH) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStat
 				continue
 			}
 			stats.Measured++
-			exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-			kth = ws.offerBest(k, exact, e)
+			e := t.ents[eid]
+			exact, ok := refine(q, e, kth)
+			if !ok {
+				continue
+			}
+			kth = math.Min(bound, ws.offerBest(k, exact, e))
 		}
 	}
 	return ws.drainResults(), stats, nil

@@ -65,7 +65,11 @@ type Result struct {
 type SearchStats struct {
 	Measured     int // raw series fetched for exact distance computation
 	NodesVisited int
-	Filtered     int // representation-level distance evaluations
+	Filtered     int // leaf entries tested by the representation-level filter
+	// DistEvals counts representation-distance kernel evaluations the
+	// DBCH-tree actually computed: node-bound hull distances plus leaf
+	// filters, excluding answers served from the per-search memo.
+	DistEvals int
 }
 
 // TreeStats describes a tree's shape (Figures 15–16).

@@ -90,6 +90,9 @@ func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 	if t.root == nilNode || radius < 0 {
 		return nil, stats, nil
 	}
+	ws := wsPool.Get().(*Workspace)
+	defer wsPool.Put(ws)
+	ws.resetMemo(len(t.ents))
 	var out []Result
 	stack := make([]int32, 1, 64)
 	stack[0] = t.root
@@ -99,16 +102,15 @@ func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 		stats.NodesVisited++
 		if !t.ar.isLeaf[nd] {
 			for _, c := range t.ar.slotsOf(nd) {
-				if t.boundID(q, c) <= radius {
+				if t.boundID(ws, q, c, radius, &stats) <= radius {
 					stack = append(stack, c)
 				}
 			}
 			continue
 		}
 		for _, eid := range t.ar.slotsOf(nd) {
-			e := t.ents[eid]
 			stats.Filtered++
-			fd, err := t.filterEntry(q, e)
+			fd, err := t.filterMemo(ws, q, eid, &stats)
 			if err != nil {
 				return nil, stats, err
 			}
@@ -116,8 +118,8 @@ func (t *DBCH) Range(q dist.Query, radius float64) ([]Result, SearchStats, error
 				continue
 			}
 			stats.Measured++
-			exact := math.Sqrt(ts.EuclideanSq(q.Raw, e.Raw))
-			if exact <= radius {
+			e := t.ents[eid]
+			if exact, ok := refine(q, e, radius); ok {
 				out = append(out, Result{Entry: e, Dist: exact})
 			}
 		}

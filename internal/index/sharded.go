@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,9 +40,17 @@ func ShardOf(id, shards int) int {
 // DBCH-tree shards, reads are lock-free — a query scatters across every
 // shard's current published view without touching any write lock, so even
 // the shard whose writer is mid-mutation answers immediately. The gather
-// runs through the canonical (distance, ID) merge, which makes k-NN and
-// range answers byte-identical to the single-shard answer for any shard
-// count.
+// runs through the canonical (distance, ID) merge. When the filter
+// lower-bounds the exact distance, k-NN and range answers are therefore
+// byte-identical to the single-shard answer for any shard count; Dist_PAR
+// is not guaranteed to lower-bound, so with it a shard count can change
+// which true neighbours a false dismissal hides.
+//
+// A k-NN scatter is seeded (see KNNWith): two lead shards are searched
+// first, and the others prune above the k-th distance among the leads'
+// answers. The schedule is fixed per query, so answers and SearchStats
+// depend only on the query and the shard count, never on the worker count
+// or on timing.
 type ShardedIndex struct {
 	shards []*ConcurrentIndex
 }
@@ -221,6 +230,36 @@ func addStats(total *SearchStats, st SearchStats) {
 	total.Measured += st.Measured
 	total.Filtered += st.Filtered
 	total.NodesVisited += st.NodesVisited
+	total.DistEvals += st.DistEvals
+}
+
+// leadShards is how many shards a k-NN scatter searches unseeded before the
+// rest: the first two. Two leads keep two workers busy while the seed is
+// computed; a single lead idled one and made single queries slower.
+const leadShards = 2
+
+// seedBound is the starting bound of a query's non-lead shards: the k-th
+// smallest distance among the two lead shards' answers a and b (each in
+// ascending order), or +Inf when they hold fewer than k results together.
+// Those k entries exist, so the global k-th distance is no larger.
+//
+//sapla:noalloc
+func seedBound(a, b []Result, k int) float64 {
+	if k <= 0 || len(a)+len(b) < k {
+		return math.Inf(1)
+	}
+	i, j := 0, 0
+	for i+j < k-1 {
+		if j == len(b) || (i < len(a) && a[i].Dist <= b[j].Dist) {
+			i++
+		} else {
+			j++
+		}
+	}
+	if j == len(b) || (i < len(a) && a[i].Dist <= b[j].Dist) {
+		return a[i].Dist
+	}
+	return b[j].Dist
 }
 
 // mergeTopK selects the k best candidates under the canonical
@@ -242,13 +281,15 @@ func (s *ShardedIndex) KNN(q dist.Query, k int) ([]Result, SearchStats, error) {
 	return pooledKNN(s, q, k)
 }
 
-// KNNWith implements WorkspaceSearcher by sequential scatter-gather: each
-// shard's top-k is gathered into the workspace's candidate buffer, then the
-// global top-k is selected under the canonical (distance, ID) order. Each
-// shard's top-k under that order is a superset of its contribution to the
-// global top-k, so the merge loses nothing. Every shard search runs against
-// that shard's published view (lock-free for DBCH-tree shards); the
-// parallel fan-out lives in BatchKNN.
+// KNNWith implements WorkspaceSearcher by sequential, seeded scatter-gather.
+// The lead shards are searched first; every other shard then starts from
+// seedBound of the leads' answers and prunes strictly above it, so
+// (distance, ID) ties at the bound survive. A shard's members of the global
+// top-k lie within that bound, so when the filter lower-bounds, every shard
+// still returns its contribution to the global top-k, and the canonical
+// (distance, ID) merge of the gathered candidates loses nothing. Every shard
+// search runs against that shard's published view (lock-free for DBCH-tree
+// shards); BatchKNN runs the same schedule in parallel.
 //
 //sapla:noalloc
 func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, SearchStats, error) {
@@ -257,10 +298,17 @@ func (s *ShardedIndex) KNNWith(ws *Workspace, q dist.Query, k int) ([]Result, Se
 	}
 	var stats SearchStats
 	ws.cand = ws.cand[:0]
-	for _, sh := range s.shards {
-		res, st, err := sh.KNNWith(ws, q, k)
+	seed, lead0 := math.Inf(1), 0
+	for si, sh := range s.shards {
+		if si == leadShards {
+			seed = seedBound(ws.cand[:lead0], ws.cand[lead0:], k)
+		}
+		res, st, err := sh.knnBounded(ws, q, k, seed)
 		if err != nil {
 			return nil, stats, err
+		}
+		if si == 0 {
+			lead0 = len(res)
 		}
 		addStats(&stats, st)
 		ws.cand = append(ws.cand, res...) //sapla:alloc amortised growth of the reused gather buffer; Reset keeps capacity
@@ -289,68 +337,91 @@ func (s *ShardedIndex) Range(q dist.Query, radius float64) ([]Result, SearchStat
 // batchKNN is the scatter-gather arm of BatchKNNContext: the work-stealing
 // pool claims (query, shard) tasks instead of whole queries, so one slow
 // shard of one query never idles a worker, and a batch saturates every core
-// even with fewer queries than GOMAXPROCS. Per-task partials land in
-// pre-assigned slots and are merged per query afterwards under the canonical
-// (distance, ID) order — results are identical for any worker count and any
-// shard count.
+// even with fewer queries than GOMAXPROCS. It runs KNNWith's seeded
+// schedule in two phases separated by a barrier: first every query's lead
+// shards, unseeded, then every other shard, seeded from that query's lead
+// answers. Within a phase tasks are claimed shard-major, so consecutive
+// claims walk the same shard's tree. Per-task partials land in
+// pre-assigned slots of one buffer and are merged per query afterwards
+// under the canonical (distance, ID) order — answers and stats are
+// identical to KNNWith's for any worker count. The index has at least two
+// shards: BatchKNNContext searches a single shard directly.
 func (s *ShardedIndex) batchKNN(ctx context.Context, queries []dist.Query, k, workers int) ([][]Result, []SearchStats, error) {
-	nshards := len(s.shards)
-	out := make([][]Result, len(queries))
-	stats := make([]SearchStats, len(queries))
-	if len(queries) == 0 {
+	nshards, nq := len(s.shards), len(queries)
+	out := make([][]Result, nq)
+	stats := make([]SearchStats, nq)
+	if nq == 0 {
 		return out, stats, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tasks := len(queries) * nshards
+	tasks := nq * nshards
 	if workers > tasks {
 		workers = tasks
 	}
+	slots := max(k, 0)
 
-	partial := make([][]Result, tasks) // slot t answers query t/nshards on shard t%nshards
+	// Task t answers query t/nshards on shard t%nshards into
+	// partial[t*slots : t*slots+partLen[t]].
+	partial := make([]Result, tasks*slots)
+	partLen := make([]int, tasks)
 	partStats := make([]SearchStats, tasks)
 	errs := make([]error, tasks)
 	taskDone := make([]bool, tasks)
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	slot := func(t int) []Result { return partial[t*slots : t*slots+partLen[t]] }
+	// runPhase claims the tasks of shards [lo, hi) shard-major until they
+	// run out or ctx expires. A seeded task reads only its query's lead
+	// slots, which the barrier between the phases orders before it.
+	runPhase := func(ws *Workspace, next *atomic.Int64, lo, hi int) {
+		n := nq * (hi - lo)
+		for ctx.Err() == nil {
+			c := int(next.Add(1)) - 1
+			if c >= n {
+				return
+			}
+			qi, si := c%nq, lo+c/nq
+			bound := math.Inf(1)
+			if si >= leadShards {
+				bound = seedBound(slot(qi*nshards), slot(qi*nshards+1), k)
+			}
+			t := qi*nshards + si
+			res, st, err := s.shards[si].knnBounded(ws, queries[qi], k, bound)
+			partLen[t] = copy(partial[t*slots:(t+1)*slots], res)
+			partStats[t], errs[t] = st, err
+			taskDone[t] = true
+		}
+	}
+	var nextLead, nextRest atomic.Int64
+	var leadsDone, wg sync.WaitGroup
+	leadsDone.Add(workers)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			scratch := wsPool.Get().(*Workspace)
 			defer wsPool.Put(scratch)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				t := int(next.Add(1)) - 1
-				if t >= tasks {
-					return
-				}
-				qi, si := t/nshards, t%nshards
-				res, st, err := s.shards[si].KNNWith(scratch, queries[qi], k)
-				if len(res) > 0 {
-					partial[t] = make([]Result, len(res))
-					copy(partial[t], res)
-				}
-				partStats[t], errs[t] = st, err
-				taskDone[t] = true
-			}
+			runPhase(scratch, &nextLead, 0, leadShards)
+			leadsDone.Done()
+			leadsDone.Wait()
+			runPhase(scratch, &nextRest, leadShards, nshards)
 		}()
 	}
 	wg.Wait()
 
 	// Gather: merge every query whose shard set completed. On cancellation
 	// the merged queries stay valid, unfinished ones keep zero slots — the
-	// same contract as the single-index batch.
+	// same contract as the single-index batch. Answers share one backing
+	// array, each capped at its length so an append to one never reaches
+	// the next.
+	answers := make([]Result, nq*slots)
 	merge := wsPool.Get().(*Workspace)
 	completed := 0
 	var firstErr error
 	for qi := range queries {
 		all := true
 		var qerr error
-		merge.cand = merge.cand[:0]
+		merge.best.Reset()
 		for si := 0; si < nshards; si++ {
 			t := qi*nshards + si
 			if !taskDone[t] {
@@ -361,7 +432,9 @@ func (s *ShardedIndex) batchKNN(ctx context.Context, queries []dist.Query, k, wo
 				qerr = errs[t]
 			}
 			addStats(&stats[qi], partStats[t])
-			merge.cand = append(merge.cand, partial[t]...)
+			for _, r := range slot(t) {
+				merge.offerBest(k, r.Dist, r.Entry)
+			}
 		}
 		if !all {
 			stats[qi] = SearchStats{}
@@ -374,17 +447,17 @@ func (s *ShardedIndex) batchKNN(ctx context.Context, queries []dist.Query, k, wo
 			}
 			continue
 		}
-		res := mergeTopK(merge, k, merge.cand)
-		if len(res) > 0 {
-			out[qi] = make([]Result, len(res))
-			copy(out[qi], res)
+		if res := merge.drainResults(); len(res) > 0 {
+			lo := qi * slots
+			hi := lo + copy(answers[lo:lo+slots], res)
+			out[qi] = answers[lo:hi:hi]
 		}
 	}
 	wsPool.Put(merge)
 
-	if err := ctx.Err(); err != nil && completed < len(queries) {
+	if err := ctx.Err(); err != nil && completed < nq {
 		return out, stats, fmt.Errorf("%w after %d of %d queries: %w",
-			ErrBatchCanceled, completed, len(queries), err)
+			ErrBatchCanceled, completed, nq, err)
 	}
 	return out, stats, firstErr
 }

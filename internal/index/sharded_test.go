@@ -13,18 +13,7 @@ import (
 
 func newShardedDBCH(t *testing.T, shards int) *ShardedIndex {
 	t.Helper()
-	s, err := NewSharded(shards, func(int) (Index, error) {
-		tree, err := NewDBCH("SAPLA", 2, 5)
-		if err != nil {
-			return nil, err
-		}
-		tree.SafeBound = true
-		return tree, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newShardedTrees(t, "SAPLA", shards)
 }
 
 func TestShardOfStableAndCovering(t *testing.T) {

@@ -25,6 +25,15 @@ type Workspace struct {
 	// cand accumulates per-shard candidate results during a scatter-gather
 	// search; see ShardedIndex.KNNWith.
 	cand []Result
+	// The per-search representation-distance memo of a DBCH search:
+	// memoVal[eid] is the query-to-entry distance of entry-arena id eid when
+	// memoGen[eid] == gen. Each search bumps gen, which invalidates every
+	// slot at once, so a hull end shared by several levels and its leaf is
+	// evaluated once per search. 10 bytes per slot, sized to the largest
+	// entry arena searched plus a fifth: at most 12 bytes per entry.
+	memoGen []uint16
+	memoVal []float64
+	gen     uint16
 }
 
 // NewWorkspace returns an empty search workspace.
@@ -55,6 +64,26 @@ func (ws *Workspace) offerBest(k int, exact float64, e *Entry) float64 {
 		return best.PeekPriority()
 	}
 	return math.Inf(1)
+}
+
+// resetMemo starts a new memo generation covering entry ids below n. The
+// headroom keeps an index that grows by small ingest batches from
+// reallocating the memo on every search.
+//
+//sapla:noalloc
+func (ws *Workspace) resetMemo(n int) {
+	if len(ws.memoGen) < n {
+		// Stamps restart at zero, which no live generation uses: gen is
+		// never zero after the increment below.
+		n += n / 5
+		ws.memoGen = make([]uint16, n)  //sapla:alloc amortised memo growth with the searched entry arena; steady state reuses it
+		ws.memoVal = make([]float64, n) //sapla:alloc amortised memo growth with the searched entry arena; steady state reuses it
+	}
+	ws.gen++
+	if ws.gen == 0 { // wrapped: clear the stamps so none aliases a new generation
+		clear(ws.memoGen)
+		ws.gen = 1
+	}
 }
 
 // drainResults empties the best-heap into the reused result buffer in

@@ -404,7 +404,8 @@ type resultJSON struct {
 	Dist float64 `json:"dist"`
 }
 
-// statsJSON mirrors index.SearchStats.
+// statsJSON mirrors index.SearchStats' public counters; DistEvals, a
+// kernel-work counter for benchmarks, is not part of the API.
 type statsJSON struct {
 	Measured     int `json:"measured"`
 	Filtered     int `json:"filtered"`
@@ -518,7 +519,10 @@ type knnAnswer struct {
 }
 
 // handleKNNBatch answers many k-NN queries concurrently on the work-stealing
-// BatchKNN pool; each query sees a consistent index snapshot.
+// BatchKNN pool. Each (query, shard) search reads one consistent snapshot
+// of that shard; the shards' snapshots are loaded independently, so a query
+// is not a global cut across shards, and concurrent writes can land between
+// one shard's read and another's.
 func (s *Server) handleKNNBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !decodeBody(w, r, &req) {

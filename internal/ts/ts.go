@@ -62,6 +62,27 @@ func EuclideanSq(a, b Series) float64 {
 	return sum
 }
 
+// EuclideanSqWithin is EuclideanSq with early abandoning: it sums in the same
+// order and stops as soon as the partial sum exceeds limit, returning that
+// partial sum and false. Adding a non-negative term never lowers a rounded
+// sum, so the full sum of an abandoned pair exceeds limit too; a sum that
+// completes is bit-identical to EuclideanSq's. It panics if the lengths
+// differ.
+func EuclideanSqWithin(a, b Series, limit float64) (float64, bool) {
+	if len(a) != len(b) {
+		panic(ErrLengthMismatch)
+	}
+	var sum float64
+	for i := range a {
+		d := a[i] - b[i]
+		sum += d * d
+		if sum > limit {
+			return sum, false
+		}
+	}
+	return sum, true
+}
+
 // Euclidean returns the Euclidean distance between a and b, or an error if
 // the lengths differ.
 func Euclidean(a, b Series) (float64, error) {

@@ -57,6 +57,36 @@ func TestEuclidean(t *testing.T) {
 	}
 }
 
+// TestEuclideanSqWithin checks early abandoning: a sum that completes is
+// bit-identical to EuclideanSq's, and an abandoned one stops only above the
+// limit, below a full sum that is above it too.
+func TestEuclideanSqWithin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		a, b := make(Series, n), make(Series, n)
+		for i := range a {
+			a[i], b[i] = rng.NormFloat64()*10, rng.NormFloat64()*10
+		}
+		full := EuclideanSq(a, b)
+		for _, limit := range []float64{math.Inf(1), full, full * rng.Float64()} {
+			sum, done := EuclideanSqWithin(a, b, limit)
+			if done {
+				if limit < full {
+					t.Fatalf("n=%d: completed below the limit %v < full %v", n, limit, full)
+				}
+				if math.Float64bits(sum) != math.Float64bits(full) {
+					t.Fatalf("n=%d: completed sum %v, EuclideanSq %v", n, sum, full)
+				}
+				continue
+			}
+			if sum <= limit || sum > full || full <= limit {
+				t.Fatalf("n=%d limit %v: abandoned at %v with full sum %v", n, limit, sum, full)
+			}
+		}
+	}
+}
+
 func TestEuclideanSqPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
